@@ -5,10 +5,11 @@
    stream, horizon) scenario from a seed, runs it through every
    execution path — reference evaluator, naive streaming plan, the
    pane-based incremental engine (--incremental-prob to sample),
-   rewritten plans with/without factor windows, paned/paired slicing
-   shared/unshared, (--crash-prob to sample) the checkpointing
-   pipeline killed mid-stream by an injected fault and recovered from
-   disk, (--shard-prob to sample) the multicore runner: the plan
+   rewritten plans with/without factor windows (the factor-window plan
+   in both engine modes), paned/paired slicing shared/unshared,
+   (--crash-prob to sample) the checkpointing pipeline killed
+   mid-stream by an injected fault and recovered from disk,
+   (--shard-prob to sample) the multicore runner: the plan
    key-partitioned across 2-8 worker domains, byte-compared against
    single-shard runs, and (--batch-prob to sample, on by default) the
    vectorized paths: the same stream pushed through feed_batch under
@@ -19,7 +20,9 @@
    run under a scenario-drawn memory budget (--budget-range, often 0)
    with cold per-key state spilled to disk and faulted back, both
    engine modes plus a crash-restart leg, byte-compared against
-   unbudgeted runs — asserts row-for-row equality, and checks the structural
+   unbudgeted runs.  The batched, crash and spilled families also run
+   the factor-window rewritten plan in incremental mode.  Each run
+   asserts row-for-row equality, and the fuzzer checks the structural
    invariants (Theorem 7 forest shape, cost monotonicity, plan
    validation, metrics-vs-cost-model exactness).  --family-prob mutates
    drawn window sets across window families (count/ROWS hops, session

@@ -101,7 +101,11 @@ let dump_precrash ~dir base mode (sc : Scenario.t) =
          | Stream_exec.Incremental -> "incremental"))
   in
   ensure_dir sub;
-  (match Paths.crash_first_process ~dir:sub mode sc with
+  (match
+     Paths.crash_first_process ~dir:sub
+       ~plan:(Plan.naive sc.Scenario.agg sc.Scenario.windows)
+       mode sc
+   with
   | Paths.Crashed -> ()
   | Paths.Completed cp ->
       ignore (Fw_snap.Checkpoint.close cp ~horizon:sc.Scenario.horizon));

@@ -66,13 +66,15 @@ let name = function
   | Served -> "served"
   | Spilled -> "spilled"
 
-(* The incremental engine handles every scenario: windows where panes
-   don't apply (holistic aggregate, non-aligned geometry, count or
-   session family) fall back to a dedicated path node by node.  The
-   rewritten paths are also total now — {!Fw_plan.Rewrite.optimize}
-   routes non-aligned hops and session windows around the WCG as
-   exposed fallback aggregates — so the only gated paths are the
-   slicing ones: session windows have no static slice geometry. *)
+(* The incremental engine handles every scenario: time hops run on
+   panes — window-fed ones too, reading their covering parent's
+   sub-aggregates — and windows where panes don't apply (holistic
+   aggregate, non-aligned stream-fed geometry, count or session family)
+   fall back to a dedicated operator node by node.  The rewritten paths
+   are also total — {!Fw_plan.Rewrite.optimize} routes non-aligned hops
+   and session windows around the WCG as exposed fallback aggregates —
+   so the only gated paths are the slicing ones (session windows have
+   no static slice geometry) and the served one. *)
 let applicable path sc =
   match path with
   | Sliced _ ->
@@ -93,6 +95,70 @@ let rewritten_plan ~factor_windows (sc : Scenario.t) =
   (Rewrite.optimize ~eta:sc.Scenario.eta ~factor_windows sc.Scenario.agg
      sc.Scenario.windows)
     .Rewrite.plan
+
+let naive_plan (sc : Scenario.t) =
+  Plan.naive sc.Scenario.agg sc.Scenario.windows
+
+(* The uninterrupted, unbatched, all-resident run a composed leg is
+   byte-compared against, with its cost-model counters. *)
+let plain_run plan mode (sc : Scenario.t) =
+  let m = Metrics.create () in
+  ( Stream_exec.run ~metrics:m ~mode plan ~horizon:sc.Scenario.horizon
+      sc.Scenario.events,
+    m )
+
+(* The (plan, mode) legs a composed path runs: the naive plan in both
+   engine modes, and the rewritten plan with factor windows — the plan
+   [fwopt run --incremental] ships, whose window-fed windows run on the
+   pane operator — in incremental mode.  [run_legs ?mode] runs the legs
+   of one engine mode (all by default), each byte-compared against its
+   own plain run by [f], and answers the first leg's rows. *)
+let legs =
+  [
+    ("naive", Stream_exec.Naive, naive_plan);
+    ("incremental", Stream_exec.Incremental, naive_plan);
+    ( "rewritten incremental",
+      Stream_exec.Incremental,
+      rewritten_plan ~factor_windows:true );
+  ]
+
+let run_legs ?mode sc f =
+  match
+    List.filter_map
+      (fun (what, m, plan) ->
+        if mode = None || mode = Some m then Some (f ~what (plan sc) m)
+        else None)
+      legs
+  with
+  | rows :: _ -> rows
+  | [] -> invalid_arg "Paths.run_legs: no leg"
+
+(* The checks a composed leg insists on, stronger than the harness's
+   tolerant multiset comparison: byte-identical rows (float rounding
+   included) and bit-for-bit cost-model counters against the plain run.
+   A counter mismatch raises too, because row equality alone would miss
+   silently double-charged or lost work. *)
+let check_identical ~what ~rows0 ~rows1 m0 m1 =
+  if rows1 <> rows0 then
+    failwith
+      (Printf.sprintf
+         "%s rows are not byte-identical to the plain run's (%d vs %d rows)"
+         what (List.length rows1) (List.length rows0));
+  if Metrics.ingested m0 <> Metrics.ingested m1 then
+    failwith
+      (Printf.sprintf "%s ingest counter diverged: %d plain vs %d" what
+         (Metrics.ingested m0) (Metrics.ingested m1));
+  let pw m =
+    List.map
+      (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
+      (Metrics.per_window m)
+  in
+  if pw m0 <> pw m1 then
+    failwith
+      (Printf.sprintf "%s per-window counters diverged: [%s] plain vs [%s]"
+         what
+         (String.concat " " (pw m0))
+         (String.concat " " (pw m1)))
 
 (* --- crash-restart path -------------------------------------------- *)
 
@@ -178,14 +244,14 @@ type first_outcome = Crashed | Completed of Fw_snap.Checkpoint.t
    mid-batch.  [spill] runs the pre-crash process under a memory
    budget; its pool is scratch (snapshots are self-contained), so the
    crash legitimately leaves it behind like a dead process would. *)
-let crash_first_process ?(batched = false) ?spill ~dir mode (sc : Scenario.t) =
+let crash_first_process ?(batched = false) ?spill ~dir ~plan mode
+    (sc : Scenario.t) =
   let p = crash_params sc in
   let fault =
     Fw_snap.Fault.create ~crash_at_event:p.crash_at ?torn_bytes:p.torn_bytes ()
   in
   let cp =
-    Fw_snap.Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill
-      (Plan.naive sc.Scenario.agg sc.Scenario.windows)
+    Fw_snap.Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill plan
   in
   try
     (if batched then
@@ -211,15 +277,14 @@ let rm_rf dir =
 
 (* Crash the pipeline mid-stream, recover from disk, finish the run —
    then insist both the rows and the cost-model counters are exactly
-   what an uninterrupted run produces.  A counter mismatch raises
-   (surfacing as a crashed path in the report) because row equality
-   alone would miss silently double-charged or lost work.  [budget]
-   runs both sides of the crash under their own {!Fw_spill.Pool} of
-   that many bytes — the dead process's pool is abandoned like its
-   other scratch state, the recovered process starts a fresh one — so
-   checkpoint/crash/recovery and out-of-core state are composed. *)
-let crash_restart_rows ?(batched = false) ?budget mode (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
+   what an uninterrupted run of the same plan and mode produces.
+   [budget] runs both sides of the crash under their own
+   {!Fw_spill.Pool} of that many bytes — the dead process's pool is
+   abandoned like its other scratch state, the recovered process starts
+   a fresh one — so checkpoint/crash/recovery and out-of-core state are
+   composed. *)
+let crash_restart_rows ?(batched = false) ?budget ~what plan mode
+    (sc : Scenario.t) =
   let horizon = sc.Scenario.horizon in
   (* one pool per simulated process, closed when that process ends *)
   let with_pool f =
@@ -231,17 +296,14 @@ let crash_restart_rows ?(batched = false) ?budget mode (sc : Scenario.t) =
           ~finally:(fun () -> Fw_spill.Pool.close pool)
           (fun () -> f (Some pool))
   in
-  let m0 = Metrics.create () in
-  let rows0 =
-    Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-  in
+  let rows0, m0 = plain_run plan mode sc in
   let dir = fresh_temp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let first =
         with_pool (fun spill ->
-            match crash_first_process ~batched ?spill ~dir mode sc with
+            match crash_first_process ~batched ?spill ~dir ~plan mode sc with
             | Completed cp ->
                 Some
                   ( Fw_snap.Checkpoint.close cp ~horizon,
@@ -278,33 +340,13 @@ let crash_restart_rows ?(batched = false) ?budget mode (sc : Scenario.t) =
                         ~horizon,
                       r.Fw_snap.Recover.metrics ))
       in
-      (* stronger than the harness's tolerant multiset check: recovery
-         promises bit-identical rows, float rounding included *)
-      if rows1 <> rows0 then
-        failwith
-          (Printf.sprintf
-             "recovered rows are not byte-identical to the uninterrupted \
-              run's (%d vs %d rows)"
-             (List.length rows1) (List.length rows0));
-      if Metrics.ingested m0 <> Metrics.ingested m1 then
-        failwith
-          (Printf.sprintf
-             "ingest counter diverged across restart: %d uninterrupted vs %d \
-              recovered"
-             (Metrics.ingested m0) (Metrics.ingested m1));
-      let pw m =
-        List.map
-          (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-          (Metrics.per_window m)
-      in
-      if pw m0 <> pw m1 then
-        failwith
-          (Printf.sprintf
-             "per-window counters diverged across restart: [%s] uninterrupted \
-              vs [%s] recovered"
-             (String.concat " " (pw m0))
-             (String.concat " " (pw m1)));
+      check_identical ~what:("recovered " ^ what) ~rows0 ~rows1 m0 m1;
       rows1)
+
+(* Every leg of one engine mode through the crash-restart pipeline. *)
+let crash_restart_legs ?batched ?budget mode sc =
+  run_legs ~mode sc (fun ~what plan mode ->
+      crash_restart_rows ?batched ?budget ~what plan mode sc)
 
 (* --- sharded path --------------------------------------------------- *)
 
@@ -318,46 +360,17 @@ let crash_restart_rows ?(batched = false) ?budget mode (sc : Scenario.t) =
    several shards), so they legitimately exceed the single-shard
    values. *)
 let sharded_rows ?batch (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
+  let plan = naive_plan sc in
   let horizon = sc.Scenario.horizon in
   let check_mode mode mode_name =
-    let m0 = Metrics.create () in
-    let rows0 =
-      Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-    in
+    let rows0, m0 = plain_run plan mode sc in
     let r =
       Fw_shard.Runner.run ?batch ~mode ~shards:sc.Scenario.shards plan
         ~horizon sc.Scenario.events
     in
-    if r.Fw_shard.Runner.rows <> rows0 then
-      failwith
-        (Printf.sprintf
-           "%d-shard %s rows are not byte-identical to the single-shard \
-            run's (%d vs %d rows)"
-           sc.Scenario.shards mode_name
-           (List.length r.Fw_shard.Runner.rows)
-           (List.length rows0));
-    let m1 = r.Fw_shard.Runner.metrics in
-    if Metrics.ingested m0 <> Metrics.ingested m1 then
-      failwith
-        (Printf.sprintf
-           "%s ingest counter did not reconcile across %d shards: %d \
-            single-shard vs %d merged"
-           mode_name sc.Scenario.shards (Metrics.ingested m0)
-           (Metrics.ingested m1));
-    let pw m =
-      List.map
-        (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-        (Metrics.per_window m)
-    in
-    if pw m0 <> pw m1 then
-      failwith
-        (Printf.sprintf
-           "%s per-window counters did not reconcile across %d shards: [%s] \
-            single-shard vs [%s] merged"
-           mode_name sc.Scenario.shards
-           (String.concat " " (pw m0))
-           (String.concat " " (pw m1)));
+    check_identical
+      ~what:(Printf.sprintf "%d-shard %s" sc.Scenario.shards mode_name)
+      ~rows0 ~rows1:r.Fw_shard.Runner.rows m0 r.Fw_shard.Runner.metrics;
     rows0
   in
   let rows = check_mode Stream_exec.Naive "naive" in
@@ -368,111 +381,44 @@ let sharded_rows ?batch (sc : Scenario.t) =
 
 (* Feed the exact per-event stream through {!Stream_exec.feed_batch}
    under the scenario's batch geometry — batch-internal punctuation
-   included — in both engine modes, and insist on the feed/feed_batch
-   equivalence contract end to end: byte-identical rows and bit-for-bit
-   cost-model counters against the per-event run. *)
-let batched_rows (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
+   included — and insist on the feed/feed_batch equivalence contract
+   end to end: byte-identical rows and bit-for-bit cost-model counters
+   against the per-event run of the same plan and mode. *)
+let batched_rows ~what plan mode (sc : Scenario.t) =
   let horizon = sc.Scenario.horizon in
-  let check_mode mode mode_name =
-    let m0 = Metrics.create () in
-    let rows0 =
-      Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-    in
-    let m1 = Metrics.create () in
-    let exec = Stream_exec.create ~metrics:m1 ~mode plan in
-    List.iter (Stream_exec.feed_batch exec) (batches_of sc);
-    let rows1 = Stream_exec.close exec ~horizon in
-    if rows1 <> rows0 then
-      failwith
-        (Printf.sprintf
-           "batched %s rows are not byte-identical to the per-event run's \
-            (%d vs %d rows)"
-           mode_name (List.length rows1) (List.length rows0));
-    if Metrics.ingested m0 <> Metrics.ingested m1 then
-      failwith
-        (Printf.sprintf
-           "batched %s ingest counter diverged: %d per-event vs %d batched"
-           mode_name (Metrics.ingested m0) (Metrics.ingested m1));
-    let pw m =
-      List.map
-        (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-        (Metrics.per_window m)
-    in
-    if pw m0 <> pw m1 then
-      failwith
-        (Printf.sprintf
-           "batched %s per-window counters diverged: [%s] per-event vs [%s] \
-            batched"
-           mode_name
-           (String.concat " " (pw m0))
-           (String.concat " " (pw m1)));
-    rows0
-  in
-  let rows = check_mode Stream_exec.Naive "naive" in
-  let (_ : Row.t list) = check_mode Stream_exec.Incremental "incremental" in
-  rows
+  let rows0, m0 = plain_run plan mode sc in
+  let m1 = Metrics.create () in
+  let exec = Stream_exec.create ~metrics:m1 ~mode plan in
+  List.iter (Stream_exec.feed_batch exec) (batches_of sc);
+  let rows1 = Stream_exec.close exec ~horizon in
+  check_identical ~what:("batched " ^ what) ~rows0 ~rows1 m0 m1;
+  rows0
 
 (* --- spilled path ---------------------------------------------------- *)
 
-(* Run the naive plan under the scenario's memory budget — every
-   operator's per-key state held in {!Fw_spill.Store}s that evict cold
-   entries to disk and fault them back on touch — in both engine
-   modes, and insist the rows and the cost-model counters are
-   bit-identical to the unbudgeted run's: eviction and fault-in must be
-   invisible to the computation, budget 0 (everything round-trips
-   through the spill file) included.  A final leg composes the budget
-   with the crash-restart pipeline, so checkpoints taken over spilled
-   state and recovery into a fresh pool are differenced too. *)
-let spilled_rows (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
+(* Run a plan under the scenario's memory budget — every operator's
+   per-key state held in {!Fw_spill.Store}s that evict cold entries to
+   disk and fault them back on touch — and insist the rows and the
+   cost-model counters are bit-identical to the unbudgeted run's:
+   eviction and fault-in must be invisible to the computation, budget 0
+   (everything round-trips through the spill file) included. *)
+let spilled_rows ~what plan mode (sc : Scenario.t) =
   let horizon = sc.Scenario.horizon in
   let budget = sc.Scenario.budget in
-  let check_mode mode mode_name =
-    let m0 = Metrics.create () in
-    let rows0 =
-      Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-    in
-    let m1 = Metrics.create () in
-    let pool = Fw_spill.Pool.create ~budget () in
-    let rows1 =
-      Fun.protect
-        ~finally:(fun () -> Fw_spill.Pool.close pool)
-        (fun () ->
-          Stream_exec.run ~metrics:m1 ~mode ~spill:pool plan ~horizon
-            sc.Scenario.events)
-    in
-    if rows1 <> rows0 then
-      failwith
-        (Printf.sprintf
-           "spilled %s rows under budget %d are not byte-identical to the \
-            unbudgeted run's (%d vs %d rows)"
-           mode_name budget (List.length rows1) (List.length rows0));
-    if Metrics.ingested m0 <> Metrics.ingested m1 then
-      failwith
-        (Printf.sprintf
-           "spilled %s ingest counter diverged under budget %d: %d unbudgeted \
-            vs %d spilled"
-           mode_name budget (Metrics.ingested m0) (Metrics.ingested m1));
-    let pw m =
-      List.map
-        (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-        (Metrics.per_window m)
-    in
-    if pw m0 <> pw m1 then
-      failwith
-        (Printf.sprintf
-           "spilled %s per-window counters diverged under budget %d: [%s] \
-            unbudgeted vs [%s] spilled"
-           mode_name budget
-           (String.concat " " (pw m0))
-           (String.concat " " (pw m1)));
-    rows0
+  let rows0, m0 = plain_run plan mode sc in
+  let m1 = Metrics.create () in
+  let pool = Fw_spill.Pool.create ~budget () in
+  let rows1 =
+    Fun.protect
+      ~finally:(fun () -> Fw_spill.Pool.close pool)
+      (fun () ->
+        Stream_exec.run ~metrics:m1 ~mode ~spill:pool plan ~horizon
+          sc.Scenario.events)
   in
-  let rows = check_mode Stream_exec.Naive "naive" in
-  let (_ : Row.t list) = check_mode Stream_exec.Incremental "incremental" in
-  let (_ : Row.t list) = crash_restart_rows ~budget Stream_exec.Naive sc in
-  rows
+  check_identical
+    ~what:(Printf.sprintf "spilled %s (budget %d)" what budget)
+    ~rows0 ~rows1 m0 m1;
+  rows0
 
 (* --- served path ----------------------------------------------------- *)
 
@@ -572,17 +518,26 @@ let rows path (sc : Scenario.t) =
       (match path with
       | Reference_path ->
           Reference.run sc.Scenario.agg sc.Scenario.windows ~horizon events
-      | Naive_stream ->
-          Stream_exec.run
-            (Plan.naive sc.Scenario.agg sc.Scenario.windows)
-            ~horizon events
+      | Naive_stream -> Stream_exec.run (naive_plan sc) ~horizon events
       | Incremental_stream ->
-          Stream_exec.run ~mode:Stream_exec.Incremental
-            (Plan.naive sc.Scenario.agg sc.Scenario.windows)
+          Stream_exec.run ~mode:Stream_exec.Incremental (naive_plan sc)
             ~horizon events
       | Rewritten ->
-          Stream_exec.run (rewritten_plan ~factor_windows:true sc) ~horizon
-            events
+          (* the rewritten plan in both engine modes: pane and
+             per-instance operators merge in different orders, so the
+             modes agree up to the harness's float tolerance *)
+          let plan = rewritten_plan ~factor_windows:true sc in
+          let rows = Stream_exec.run plan ~horizon events in
+          let incremental =
+            Stream_exec.run ~mode:Stream_exec.Incremental plan ~horizon events
+          in
+          if not (Row.equal_sets rows incremental) then
+            failwith
+              (Printf.sprintf
+                 "rewritten plan: %d incremental-mode rows disagree with \
+                  naive mode"
+                 (List.length (Row.diff rows incremental)));
+          rows
       | Rewritten_no_factor ->
           Stream_exec.run (rewritten_plan ~factor_windows:false sc) ~horizon
             events
@@ -590,15 +545,31 @@ let rows path (sc : Scenario.t) =
           (Exec.run sc.Scenario.agg mode slicing sc.Scenario.windows ~horizon
              events)
             .Exec.rows
-      | Crash_restart mode -> crash_restart_rows mode sc
+      | Crash_restart mode -> crash_restart_legs mode sc
       | Sharded_stream -> sharded_rows sc
-      | Batched_stream -> batched_rows sc
+      | Batched_stream ->
+          run_legs sc (fun ~what plan mode -> batched_rows ~what plan mode sc)
       | Sharded_batched ->
           (* pin the runner's flush geometry to the scenario's (small)
              batch size: ring boundaries and flush-on-punctuation get
              exercised at many sizes, including 1 *)
           sharded_rows ~batch:sc.Scenario.batch sc
-      | Crash_batched mode -> crash_restart_rows ~batched:true mode sc
+      | Crash_batched mode -> crash_restart_legs ~batched:true mode sc
       | Served -> served_rows sc
-      | Spilled -> spilled_rows sc)
+      | Spilled ->
+          let rows =
+            run_legs sc (fun ~what plan mode ->
+                spilled_rows ~what plan mode sc)
+          in
+          (* checkpoints taken over spilled state, recovered into a
+             fresh pool *)
+          let budget = sc.Scenario.budget in
+          let (_ : Row.t list) =
+            crash_restart_legs ~budget Stream_exec.Naive sc
+          and (_ : Row.t list) =
+            crash_restart_rows ~budget ~what:"rewritten incremental"
+              (rewritten_plan ~factor_windows:true sc)
+              Stream_exec.Incremental sc
+          in
+          rows)
   with exn -> Error (Printexc.to_string exn)

@@ -11,7 +11,10 @@
       windows where panes don't apply fall back per node, so the path
       covers every scenario);
     - {!Rewritten}: the min-cost-WCG plan with factor windows
-      (Algorithm 1 + Algorithm 2, Section 4.3 best-of);
+      (Algorithm 1 + Algorithm 2, Section 4.3 best-of), in naive mode;
+      its incremental-mode run, where window-fed windows read their
+      parent's sub-aggregates through sliding queues, must agree with
+      it under the harness's tolerance or the path raises;
     - {!Rewritten_no_factor}: plain Algorithm 1 rewriting;
     - {!Sliced}: the executable paned [Li et al. 2005] / paired
       [Krishnamurthy et al. 2006] baselines, shared and unshared
@@ -22,7 +25,9 @@
       disk ({!Fw_snap.Recover}) and run to completion.  Beyond the
       harness's row comparison, the path itself insists the recovered
       rows and cost-model counters are {e byte-identical} to an
-      uninterrupted run's, and raises otherwise;
+      uninterrupted run's, and raises otherwise.  In incremental mode
+      the rewritten plan with factor windows runs the same pipeline as
+      a second leg — so do the batched and spilled paths below;
     - {!Sharded_stream}: the naive plan key-partitioned across the
       scenario's worker-domain count ({!Fw_shard.Runner}), in both
       engine modes.  Like the crash path it carries checks stronger
@@ -34,9 +39,10 @@
       {!Fw_engine.Stream_exec.feed_batch} under deterministic
       scenario-derived batch geometry — sizes in [\[1, batch\]],
       punctuation marks injected {e inside} batches — in both engine
-      modes, byte-compared (rows and cost-model counters bit-for-bit)
-      against the per-event run: the feed/feed_batch equivalence
-      contract, checked end to end;
+      modes (plus the rewritten plan in incremental mode),
+      byte-compared (rows and cost-model counters bit-for-bit) against
+      the per-event run: the feed/feed_batch equivalence contract,
+      checked end to end;
     - {!Sharded_batched}: {!Sharded_stream} with the runner's flush
       geometry pinned to the scenario's batch size, so ring boundaries
       and flush-on-punctuation are exercised at many sizes including 1;
@@ -54,7 +60,8 @@
     - {!Spilled}: the naive plan run under the scenario's memory budget
       — every operator's per-key state in {!Fw_spill.Store}s whose cold
       entries are evicted to an on-disk spill file and faulted back on
-      touch — in both engine modes.  The path insists the rows and
+      touch — in both engine modes, plus the rewritten plan in
+      incremental mode.  The path insists the rows and
       cost-model counters are bit-identical to the unbudgeted run's
       (budget [0], where every touched key round-trips through disk,
       included), then composes the budget with the crash-restart
@@ -111,11 +118,12 @@ val crash_first_process :
   ?batched:bool ->
   ?spill:Fw_spill.Pool.t ->
   dir:string ->
+  plan:Fw_plan.Plan.t ->
   Fw_engine.Stream_exec.mode ->
   Scenario.t ->
   first_outcome
-(** Run the pre-crash process into [dir] under the scenario's fault
-    plan.  On [Crashed], [dir] holds exactly what the dead process
+(** Run the pre-crash process of [plan] into [dir] under the scenario's
+    fault plan.  On [Crashed], [dir] holds exactly what the dead process
     left behind — {!Artifacts} copies it next to the repro.
     [batched] (default [false]) ingests via
     {!Fw_snap.Checkpoint.feed_batch} under the scenario's batch

@@ -57,11 +57,11 @@ module Fset = Set.Make (struct
     match Int.compare h1 h2 with 0 -> String.compare k1 k2 | c -> c
 end)
 
-(* Per-instance execution state: every event is folded into all pending
-   instances containing it (O(r/s) work per event) and an instance's
-   state is complete when it fires.  This is the cost the paper's model
-   prices, and the only path that supports holistic aggregates and
-   sub-aggregate (window-over-window) inputs.
+(* Per-instance execution state: every event or sub-aggregate is folded
+   into all pending instances containing it (O(r/s) work per input) and
+   an instance's state is complete when it fires.  This is the cost the
+   paper's model prices, and the only time-domain path that supports
+   holistic aggregates and non-aligned stream-fed windows.
 
    The per-key map of pending instances (keyed by instance [hi]) lives
    in a {!Fw_spill.Store}: resident by default, spillable to disk under
@@ -75,15 +75,32 @@ type win_state = {
   mutable wm : int;
 }
 
-(* Pane-based incremental execution state: raw events fold into the one
-   open per-slide pane (O(1) per event); sealed panes feed per-key
-   sliding queues ({!Fw_agg.Swag}) that answer each instance's combined
-   state in O(1) amortized. *)
+(* Pane-based incremental execution state: per-key sliding queues
+   ({!Fw_agg.Swag}) of indexed sub-aggregates answer each instance's
+   combined state in O(1) amortized.
+
+   Queue entries are numbered by an index [j] of width [unit].  A
+   stream-fed window's entry [j] is the pane of raw events in
+   [[j·s, (j+1)·s)], folded in the one open pane (O(1) per event)
+   ([unit = lag = s], [k = r/s], [q = 1]).  A window fed by a covering
+   parent [P⟨r₁,s₁⟩] reads P's sub-aggregates instead: entry [j] is the
+   parent instance [[j·s₁, j·s₁ + r₁)] ([unit = s₁], [lag = r₁],
+   [k = M(W, P)] (Theorem 3), [q = s/s₁]) — per key, a fixed-size
+   sliding window over the parent's output stream.  Either way index
+   [j] seals once the watermark reaches [j·unit + lag], and instance
+   [m] covers indices [[m·q, m·q + k)], so it fires when index
+   [m·q + k − 1] seals. *)
 type pane_state = {
   p_window : Window.t;
-  slide : int;
-  k : int;  (** panes per instance: r / s *)
-  open_pane : Pane.t;  (** accumulates pane [cur_pane*s, (cur_pane+1)*s) *)
+  unit : int;  (** index width: s (stream-fed) or the parent's slide *)
+  lag : int;  (** index [j] seals once the watermark is ≥ [j·unit + lag] *)
+  k : int;  (** indices per instance *)
+  q : int;  (** indices per instance slide *)
+  fed : bool;
+      (** fed by a parent window: fired indices are evicted eagerly, so
+          a tumbling downstream's queues empty at every fire *)
+  open_pane : Pane.t;
+      (** raw events of index [cur_pane]; always empty when fed *)
   mutable cur_pane : int;
   queues : Swag.t Store.t;
   mutable p_wm : int;
@@ -445,13 +462,16 @@ and win_deliver t id st msg =
 
 (* --- pane-based incremental window operator ------------------------- *)
 
-(* Fire instance [m] = panes [m, m+k): evict slid-out panes from every
-   key's queue, emit one row per key still holding data, and drop keys
-   whose queues drained.  The metrics record the final-combine work (the
-   number of pane states merged per fired instance). *)
+(* Fire instance [m] = indices [m·q, m·q + k): evict slid-out panes from
+   every key's queue, emit one row per key still holding data, and drop
+   keys whose queues drained.  A fed node then also evicts the indices
+   below [(m+1)·q], which no later instance reads.  The metrics record
+   the final-combine work (the number of pane states merged per fired
+   instance). *)
 and fire_pane t id ps m =
-  let lo = m * ps.slide in
+  let lo = m * Window.slide ps.p_window in
   let interval = Interval.make ~lo ~hi:(lo + Window.range ps.p_window) in
+  let below = m * ps.q and next = (m + 1) * ps.q in
   let items = ref 0 in
   let evicted = ref 0 in
   let dead = ref [] in
@@ -461,14 +481,15 @@ and fire_pane t id ps m =
   Store.iter
     (fun key q ->
       let before = Swag.length q in
-      let answer = Swag.slide q ~below:m in
-      evicted := !evicted + before - Swag.length q;
-      match answer with
-      | None -> dead := key :: !dead
+      (match Swag.slide q ~below with
+      | None -> ()
       | Some state ->
           items := !items + Swag.length q;
           forward t id
-            (Item (Sub { window = ps.p_window; interval; key; state })))
+            (Item (Sub { window = ps.p_window; interval; key; state })));
+      if ps.fed then Swag.evict_below q next;
+      evicted := !evicted + before - Swag.length q;
+      if Swag.is_empty q then dead := key :: !dead)
     ps.queues;
   List.iter (Store.remove ps.queues) !dead;
   if t.observe then begin
@@ -478,19 +499,19 @@ and fire_pane t id ps m =
   end;
   if !items > 0 then Metrics.record t.metrics ps.p_window !items
 
-(* Seal every pane fully to the left of [upto], interleaving seals with
-   the instance firings they complete so each queue holds at most [k]
-   panes per key when queried. *)
+(* Seal every index below [upto], interleaving seals with the instance
+   firings they complete so each queue holds at most [k] panes per key
+   when queried. *)
 and pane_roll t id ps ~upto =
   (* Same emptiness probe as [win_fire]: no seal pending, no clock. *)
-  if (ps.cur_pane + 1) * ps.slide <= upto then begin
+  if ps.cur_pane < upto then begin
     let ns = t.obs.(id) in
     let sampled = t.observe && ns.Metrics.activations land t.sample_mask = 0 in
     ns.Metrics.activations <- ns.Metrics.activations + 1;
     let t0 = if sampled then Clock.now_ns () else 0 in
     let fires0 = Counter.get ns.Metrics.fires in
     let flushed = ref 0 in
-    while (ps.cur_pane + 1) * ps.slide <= upto do
+    while ps.cur_pane < upto do
       let p = ps.cur_pane in
       if not (Pane.is_empty ps.open_pane) then begin
         Pane.iter
@@ -502,8 +523,8 @@ and pane_roll t id ps ~upto =
         Pane.clear ps.open_pane;
         incr flushed
       end;
-      let m = p + 1 - ps.k in
-      if m >= 0 then fire_pane t id ps m;
+      let first = p + 1 - ps.k in
+      if first >= 0 && first mod ps.q = 0 then fire_pane t id ps (first / ps.q);
       ps.cur_pane <- p + 1
     done;
     if t.observe then begin
@@ -522,16 +543,25 @@ and pane_roll t id ps ~upto =
     end
   end
 
+(* A parent emits its instances in ascending index order, so a sub of
+   index [j] first seals (and fires) everything below [j].  It then
+   goes straight into its key's queue: the parent emits one sub per key
+   and instance, so index [j] of a key is exactly that one state and
+   there is nothing to pre-aggregate — the open pane only ever holds
+   raw events. *)
 and pane_deliver t id ps msg =
   match msg with
-  | Item (Sub _) ->
-      (* [create] only assigns pane states to windows reading the raw
-         stream. *)
-      invalid_arg "Stream_exec: pane-mode window fed sub-aggregates"
+  | Item (Sub { interval; key; state; _ }) ->
+      let j = Interval.lo interval / ps.unit in
+      pane_roll t id ps ~upto:j;
+      Store.pinned ps.queues key
+        ~init:(fun () -> Swag.create t.agg)
+        (fun q -> Swag.push q ~idx:j state)
   | Watermark w ->
       if w > ps.p_wm then begin
         ps.p_wm <- w;
-        pane_roll t id ps ~upto:w;
+        pane_roll t id ps
+          ~upto:(if w < ps.lag then 0 else ((w - ps.lag) / ps.unit) + 1);
         forward t id (Watermark w)
       end
 
@@ -723,28 +753,31 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
   let nodes = Plan.nodes plan in
   let agg = Plan.agg plan in
   let output = Plan.output plan in
-  (* The pane path applies when per-slide pre-aggregation is sound and
-     useful: a constant-size sub-aggregate exists (not holistic), the
-     instance tiles exactly into panes (aligned geometry, s | r), and
-     the input is the raw stream (windows fed by another window consume
-     irregular sub-aggregate emissions instead). *)
-  let panes_apply window =
-    Aggregate.kind agg <> Aggregate.Holistic
-    && Window.is_aligned window
-    && match Plan.window_input plan window with
-       | `Stream -> true
-       | `Window _ -> false
-  in
-  (* Why an incremental-mode window ran the per-instance fallback, in
-     precedence order (a node can be disqualified for several reasons;
-     the first is the one reported). *)
-  let fallback_reason window =
-    if Aggregate.kind agg = Aggregate.Holistic then Some "holistic-aggregate"
+  (* The pane path applies whenever a constant-size sub-aggregate
+     exists (not holistic) and its inputs tile an instance exactly: a
+     stream-fed window must be aligned (s | r); a window-fed one reads a
+     covering parent, whose instances tile it by Theorem 1.  The result
+     is the pane geometry [(unit, lag, k, q, fed)] (see [pane_state]),
+     or why the window runs the per-instance fallback instead — in
+     precedence order, the first disqualification is the one
+     reported. *)
+  let pane_geometry window =
+    if Aggregate.kind agg = Aggregate.Holistic then Error "holistic-aggregate"
     else
       match Plan.window_input plan window with
-      | `Window _ -> Some "window-fed-input"
+      | `Window parent ->
+          let s1 = Window.slide parent in
+          Ok
+            ( s1,
+              Window.range parent,
+              Coverage.multiplier ~covered:window ~by:parent,
+              Window.slide window / s1,
+              true )
       | `Stream ->
-          if Window.is_aligned window then None else Some "non-aligned-window"
+          if Window.is_aligned window then
+            let s = Window.slide window in
+            Ok (s, s, Window.k_ratio window, 1, false)
+          else Error "non-aligned-window"
   in
   let states =
     Array.mapi
@@ -789,27 +822,8 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                         ~name:(Printf.sprintf "n%d-cwin" id)
                         cwin_codec;
                   }
-            | Window.Hop { domain = Window.Time; _ } ->
-                if mode = Incremental && panes_apply window then
-                  N_pane
-                    {
-                      p_window = window;
-                      slide = Window.slide window;
-                      k = Window.k_ratio window;
-                      open_pane = Pane.create ?pool:spill agg;
-                      cur_pane = 0;
-                      queues =
-                        Store.create ?pool:spill
-                          ~name:(Printf.sprintf "n%d-queues" id)
-                          (Bincodec.swag_codec agg);
-                      p_wm = 0;
-                    }
-                else begin
-                  if mode = Incremental then
-                    (match fallback_reason window with
-                    | Some reason ->
-                        Metrics.record_fallback metrics ~id ~window ~reason
-                    | None -> ());
+            | Window.Hop { domain = Window.Time; _ } -> (
+                let per_instance () =
                   N_win
                     {
                       window;
@@ -820,7 +834,31 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                       w_fire = Fset.empty;
                       wm = 0;
                     }
-                end))
+                in
+                match mode with
+                | Naive -> per_instance ()
+                | Incremental -> (
+                    match pane_geometry window with
+                    | Ok (unit, lag, k, q, fed) ->
+                        N_pane
+                          {
+                            p_window = window;
+                            unit;
+                            lag;
+                            k;
+                            q;
+                            fed;
+                            open_pane = Pane.create ?pool:spill agg;
+                            cur_pane = 0;
+                            queues =
+                              Store.create ?pool:spill
+                                ~name:(Printf.sprintf "n%d-queues" id)
+                                (Bincodec.swag_codec agg);
+                            p_wm = 0;
+                          }
+                    | Error reason ->
+                        Metrics.record_fallback metrics ~id ~window ~reason;
+                        per_instance ()))))
       nodes
   in
   (match states.(output) with
@@ -1208,8 +1246,8 @@ and bpane_add t id ps b sel lo hi =
   and values = Batch.values b in
   let i = ref lo in
   while !i < hi do
-    pane_roll t id ps ~upto:times.(sel.(!i));
-    let bound = (ps.cur_pane + 1) * ps.slide in
+    pane_roll t id ps ~upto:(times.(sel.(!i)) / ps.unit);
+    let bound = (ps.cur_pane + 1) * ps.unit in
     let j = ref (!i + 1) in
     while !j < hi && times.(sel.(!j)) < bound do
       incr j

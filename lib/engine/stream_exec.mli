@@ -17,14 +17,19 @@
     - {!Incremental}: raw events fold into one open {e per-slide pane}
       ({!Fw_agg.Pane}); sealed panes feed per-key sliding queues
       ({!Fw_agg.Swag}) so each event is touched O(1) amortized times
-      regardless of r/s.  A window falls back to the per-instance path
+      regardless of r/s.  A window fed by a covering parent window runs
+      the same operator over the parent's sub-aggregates: per key, its
+      queue is a fixed-size sliding window of
+      [M(W, parent) = 1 + (r − r₁)/s₁] parent instances (Theorem 3)
+      that slides [s/s₁] of them per instance, and fired entries are
+      evicted at once.  A window falls back to the per-instance path
       when panes don't apply: holistic aggregates (no constant-size
-      sub-aggregate), non-aligned geometries (the instance doesn't tile
-      into panes), or a window fed by another window (irregular
-      sub-aggregate input).  Results are identical in both modes; the
-      incremental mode's metrics charge the final-combine work (pane
-      states merged per fired instance) rather than per-instance
-      insertions.
+      sub-aggregate) or non-aligned stream-fed geometries (the instance
+      doesn't tile into panes).  Results are identical in both modes up
+      to float rounding (the modes merge in different orders; exact for
+      MIN/MAX/COUNT); the incremental mode's metrics charge the
+      final-combine work (queue entries merged per fired instance)
+      rather than per-instance insertions.
 
     Watermarks are strictly monotone: feeding an event older than the
     current watermark raises {!Late_event} (the engine assumes ordered
@@ -39,10 +44,10 @@
     activation when a trace is attached to the metrics {e before}
     {!create} (each sampled activation then also records a span).
     Incremental-mode nodes that fall back to the per-instance path are
-    counted with their reason ([holistic-aggregate], [window-fed-input]
-    or [non-aligned-window]).  [~observe:false] skips all of it — the
-    toggle exists so the bench [obs] section can price the
-    instrumentation itself.
+    counted with their reason ([holistic-aggregate] or
+    [non-aligned-window]; count and session windows below).
+    [~observe:false] skips all of it — the toggle exists so the bench
+    [obs] section can price the instrumentation itself.
 
     {b Window families.}  Count hops ([R⟨r,s⟩], ROWS frames) run on a
     dedicated per-key ordinal operator in {e both} modes: instance [m]
@@ -71,7 +76,9 @@ val create :
   ?spill:Fw_spill.Pool.t ->
   Fw_plan.Plan.t ->
   t
-(** Raises [Invalid_argument] if the plan fails {!Fw_plan.Validate}.
+(** Raises [Invalid_argument] if the plan fails {!Fw_plan.Validate},
+    or, in {!Incremental} mode, if a time-hop window reads a window
+    that does not cover it (the optimizer's plans never do).
     [mode] defaults to {!Naive}; [observe] defaults to [true].
 
     [spill] attaches a memory-budget pool: every operator's per-key

@@ -44,8 +44,12 @@ let corrupt = Bin.corrupt
 
 (* v2: windows carry a family tag byte (time hop / count hop /
    session) and node exports add the count-window (tag 3) and
-   session-window (tag 4) operator states. *)
-let version = 2
+   session-window (tag 4) operator states.
+   v3: in incremental mode a window fed by another window runs the pane
+   operator, so its node exports as a pane state where v2 holds
+   per-instance pending state — a v2 snapshot of a rewritten plan
+   would restore onto the wrong operator. *)
+let version = 3
 let magic = "FWSNAP"
 let crc32_sub = Bin.crc32_sub
 let crc32 = Bin.crc32

@@ -340,6 +340,30 @@ let test_bounded_served_campaign () =
         ("served campaign failure: "
         ^ Format.asprintf "%a" Harness.pp_failure f)
 
+let test_bounded_spilled_campaign () =
+  (* Out-of-core state composed with recovery, on the plan the system
+     ships: under --spill-prob 1.0 every scenario runs the naive plan in
+     both engine modes and the rewritten plan with factor windows in
+     incremental mode under a drawn memory budget, then crashes and
+     recovers the naive and rewritten pipelines over spilled state —
+     all byte-identical to the all-resident runs. *)
+  let cfg =
+    {
+      Harness.default_config with
+      Harness.iterations = 20;
+      base_seed = 8300;
+      spill_prob = 1.0;
+    }
+  in
+  let outcome = Harness.run cfg in
+  check_int "all scenarios checked" 20 outcome.Harness.checked;
+  match outcome.Harness.failures with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.fail
+        ("spilled campaign failure: "
+        ^ Format.asprintf "%a" Harness.pp_failure f)
+
 let test_shrink_scenario_batch_dimension () =
   (* a synthetic failure that depends on the batch size shrinks it to
      the smallest size that still fails, and one that doesn't depend on
@@ -398,6 +422,8 @@ let suite =
       test_bounded_batched_campaign;
     Alcotest.test_case "bounded served campaign (30 seeds, p=1)" `Quick
       test_bounded_served_campaign;
+    Alcotest.test_case "bounded spilled campaign (20 seeds, p=1)" `Quick
+      test_bounded_spilled_campaign;
     Alcotest.test_case "shrink scenario batch dimension" `Quick
       test_shrink_scenario_batch_dimension;
     Alcotest.test_case "check_seed ok" `Quick test_check_seed_ok;

@@ -246,6 +246,101 @@ let test_fallback_reasons () =
        (List.init 40 (fun t -> ev t "k" 1.0)));
   check_int "no fallbacks in naive mode" 0 (List.length (Metrics.fallbacks m3))
 
+(* The rewritten plan's window-fed windows run on the pane operator in
+   incremental mode: no node falls back, every window node is a pane
+   node, rows match naive mode, and a fed node evicts fired entries at
+   once, so no queue holds an index older than its window's oldest
+   unfired instance. *)
+let test_window_fed_panes () =
+  let plan =
+    (Rewrite.optimize ~eta:1 Aggregate.Sum
+       [ tumbling 10; tumbling 20; w ~r:60 ~s:20 ])
+      .Rewrite.plan
+  in
+  let fed =
+    List.filter
+      (fun win ->
+        match Plan.window_input plan win with
+        | `Window _ -> true
+        | `Stream -> false)
+      (Plan.all_windows plan)
+  in
+  check_bool "plan has window-fed windows" true (List.length fed >= 2);
+  let events =
+    List.concat_map
+      (fun t -> [ ev t "a" 1.0; ev t "b" 2.0 ])
+      (List.init 95 Fun.id)
+  in
+  let metrics = Metrics.create () in
+  let exec = Stream_exec.create ~metrics ~mode:Stream_exec.Incremental plan in
+  List.iter (Stream_exec.feed exec) events;
+  check_int "no fallbacks" 0 (List.length (Metrics.fallbacks metrics));
+  let kinds =
+    List.filter_map
+      (fun (labels, _) ->
+        if List.mem_assoc "window" labels then Some (List.assoc "kind" labels)
+        else None)
+      (node_counter_values metrics "node_rows_in_total")
+  in
+  check_bool "every window node runs on panes" true
+    (kinds <> [] && List.for_all (String.equal "win-pane") kinds);
+  (* At watermark 94 the oldest unfired instance of a fed window W is
+     the first m with m·s + r > 94; its first queue index is m·s / s₁
+     for parent slide s₁.  Eager eviction leaves nothing older queued
+     (without it, the fired instance's entries would linger). *)
+  let nodes = Plan.nodes plan in
+  Array.iteri
+    (fun id nx ->
+      match (nodes.(id), nx) with
+      | Plan.Win_agg { window; _ }, Stream_exec.X_pane { x_queues; _ }
+        when List.exists (Window.equal window) fed ->
+          let r = Window.range window and s = Window.slide window in
+          let parent_slide =
+            match Plan.window_input plan window with
+            | `Window p -> Window.slide p
+            | `Stream -> assert false
+          in
+          let m = ref 0 in
+          while (!m * s) + r <= 94 do incr m done;
+          let first = !m * s / parent_slide in
+          List.iter
+            (fun (_, (q : Fw_agg.Swag.export)) ->
+              let idxs =
+                List.map
+                  (fun e -> e.Fw_agg.Swag.x_idx)
+                  (match q.Fw_agg.Swag.x_repr with
+                  | Fw_agg.Swag.X_subtractive { xentries; _ } -> xentries
+                  | Fw_agg.Swag.X_two_stacks { xfront; xback; _ } ->
+                      xfront @ xback)
+              in
+              check_bool
+                (Printf.sprintf "%s queues hold only unfired entries"
+                   (Window.to_string window))
+                true
+                (idxs <> [] && List.for_all (fun j -> j >= first) idxs))
+            x_queues
+      | _ -> ())
+    (Stream_exec.export exec).Stream_exec.x_nodes;
+  let rows = Stream_exec.close exec ~horizon:95 in
+  let naive = Stream_exec.run plan ~horizon:95 events in
+  check_bool "rows equal naive mode" true (rows = naive)
+
+(* A time hop reading a window that does not cover it has no pane
+   geometry: incremental mode refuses the plan instead of computing a
+   wrong answer, naive mode still runs it. *)
+let test_uncovered_fed_window_rejected () =
+  let leaf ?(children = []) window =
+    { Fw_wcg.Forest.window; kind = Fw_wcg.Graph.Query; children }
+  in
+  let plan =
+    Plan.of_forest Aggregate.Min
+      [ leaf ~children:[ leaf (w ~r:15 ~s:5) ] (tumbling 10) ]
+  in
+  ignore (Stream_exec.create plan);
+  match Stream_exec.create ~mode:Stream_exec.Incremental plan with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "uncovered window-fed window accepted"
+
 (* Figure-11-style workload: a generated general window set; the
    rewritten plan's per-operator totals must sum below the naive
    plan's, and the comparison's savings must reconcile with both
@@ -628,6 +723,10 @@ let suite =
     Alcotest.test_case "per-node rows in/out" `Quick test_per_node_rows;
     Alcotest.test_case "incremental fallback reasons" `Quick
       test_fallback_reasons;
+    Alcotest.test_case "window-fed windows run on panes" `Quick
+      test_window_fed_panes;
+    Alcotest.test_case "uncovered window-fed window rejected" `Quick
+      test_uncovered_fed_window_rejected;
     Alcotest.test_case "compare_plans per-operator savings" `Quick
       test_compare_plans_savings;
     Alcotest.test_case "instances_containing boundaries" `Quick

@@ -203,40 +203,67 @@ let test_registry_entries_sorted () =
 
 (* --- domain safety ------------------------------------------------- *)
 
-(* Two domains intern and bump overlapping metrics in ONE shared
-   registry — the sharded runner does exactly this when per-shard
-   series land in the merged registry.  Without the registry mutex the
-   intern table corrupts or increments vanish. *)
+(* Two domains intern overlapping series into ONE shared registry
+   concurrently — without the registry mutex the intern table corrupts.
+   Cell writes follow the single-writer-per-cell contract of
+   [registry.mli]: each domain bumps the shared series in a registry of
+   its own, plus one cell of the shared registry that only it writes,
+   and the per-domain registries are folded in with [merge_into] after
+   the join — the pattern the sharded runner uses.  So every total below
+   is exact. *)
 let test_registry_two_domain_stress () =
   let r = Registry.create () in
   let rounds = 2_000 and cells = 50 in
-  let hammer () =
+  let hammer d own () =
+    let mine =
+      Registry.counter r
+        ~labels:[ ("domain", string_of_int d) ]
+        "stress_own_total"
+    in
     for i = 0 to rounds - 1 do
       let labels = [ ("cell", string_of_int (i mod cells)) ] in
-      Counter.inc (Registry.counter r ~labels "stress_total");
-      Gauge.set (Registry.gauge r ~labels "stress_depth")
+      (* intern the shared series, racing the other domain *)
+      let shared = Registry.counter r ~labels "stress_total" in
+      ignore (Registry.gauge r ~labels "stress_depth");
+      ignore (Registry.histogram r "stress_lat_ns");
+      if Registry.counter r ~labels "stress_total" != shared then
+        failwith "series interned twice";
+      Counter.inc (Registry.counter own ~labels "stress_total");
+      Gauge.set (Registry.gauge own ~labels "stress_depth")
         (float_of_int (i mod cells));
-      Histogram.record (Registry.histogram r "stress_lat_ns") i
+      Histogram.record (Registry.histogram own "stress_lat_ns") i;
+      Counter.inc mine
     done
   in
-  let d1 = Domain.spawn hammer and d2 = Domain.spawn hammer in
+  let own1 = Registry.create () and own2 = Registry.create () in
+  let d1 = Domain.spawn (hammer 1 own1) and d2 = Domain.spawn (hammer 2 own2) in
   Domain.join d1;
   Domain.join d2;
+  Registry.merge_into ~into:r own1;
+  Registry.merge_into ~into:r own2;
   let total = ref 0 in
   for c = 0 to cells - 1 do
-    match
-      Registry.counter_value r
-        ~labels:[ ("cell", string_of_int c) ]
-        "stress_total"
-    with
+    let labels = [ ("cell", string_of_int c) ] in
+    (match Registry.counter_value r ~labels "stress_total" with
     | Some v -> total := !total + v
-    | None -> Alcotest.failf "cell %d missing" c
+    | None -> Alcotest.failf "cell %d missing" c);
+    (* the last write of each domain to cell [c] was [c]; gauges add *)
+    Alcotest.(check (float 0.0)) "gauges merge by sum"
+      (float_of_int (2 * c))
+      (Gauge.get (Registry.gauge r ~labels "stress_depth"))
   done;
   check_int "no lost increments" (2 * rounds) !total;
+  List.iter
+    (fun d ->
+      Alcotest.(check (option int)) "owned cell exact" (Some rounds)
+        (Registry.counter_value r
+           ~labels:[ ("domain", string_of_int d) ]
+           "stress_own_total"))
+    [ 1; 2 ];
   check_int "histogram saw every record" (2 * rounds)
     (Histogram.count (Registry.histogram r "stress_lat_ns"));
   check_int "each series interned once"
-    ((2 * cells) + 1)
+    ((2 * cells) + 1 + 2)
     (List.length (Registry.entries r))
 
 (* --- exporters ----------------------------------------------------- *)

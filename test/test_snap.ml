@@ -206,6 +206,44 @@ let test_version_bump_fails_closed () =
       check_bool "error names the version" true
         (Astring_contains.contains m "version")
 
+(* A version-2 snapshot of a rewritten plan in incremental mode holds
+   per-instance state at its window-fed nodes, which now restore as
+   pane operators: it must fail closed on the version, not surface as a
+   shape mismatch or restore wrong state.  The current version round
+   trips the same executor. *)
+let test_v2_rewritten_incremental_fails_closed () =
+  let plan =
+    (Fw_plan.Rewrite.optimize ~eta:1 ~factor_windows:true Aggregate.Min
+       [ w ~r:12 ~s:4; w ~r:20 ~s:4; w ~r:24 ~s:8 ])
+      .Fw_plan.Rewrite.plan
+  in
+  check_bool "plan has window-fed windows" true
+    (List.exists
+       (fun win ->
+         match Plan.window_input plan win with
+         | `Window _ -> true
+         | `Stream -> false)
+       (Plan.all_windows plan));
+  let mode = Stream_exec.Incremental in
+  let metrics = Metrics.create () in
+  let exec = Stream_exec.create ~metrics ~mode plan in
+  List.iter (Stream_exec.feed exec) (fixture_events 37);
+  let data = Codec.encode_snapshot ~plan (snapshot_of exec metrics) in
+  (match Codec.decode_snapshot ~plan ~mode data with
+  | Ok snap ->
+      check_bool "current version round-trips" true
+        (eq_export snap.Codec.s_export (Stream_exec.export ~rows:false exec))
+  | Error m -> Alcotest.fail ("decode failed: " ^ m));
+  let b = Bytes.of_string data in
+  (* version u16, little-endian, right after the 6-byte magic *)
+  Bytes.set b 6 (Char.chr 2);
+  Bytes.set b 7 (Char.chr 0);
+  match Codec.decode_snapshot ~plan ~mode (Bytes.to_string b) with
+  | Ok _ -> Alcotest.fail "version-2 snapshot accepted"
+  | Error m ->
+      check_bool "error names version 2" true
+        (Astring_contains.contains m "version 2")
+
 let test_foreign_plan_fails_closed () =
   let plan, mode, metrics, exec = running_exec () in
   let data = Codec.encode_snapshot ~plan (snapshot_of exec metrics) in
@@ -557,6 +595,8 @@ let suite =
     prop_snapshot_corrupt_byte_rejected;
     Alcotest.test_case "version bump fails closed" `Quick
       test_version_bump_fails_closed;
+    Alcotest.test_case "v2 rewritten incremental fails closed" `Quick
+      test_v2_rewritten_incremental_fails_closed;
     Alcotest.test_case "foreign plan/mode fails closed" `Quick
       test_foreign_plan_fails_closed;
     Alcotest.test_case "truncated snapshot fails closed" `Quick
